@@ -10,6 +10,11 @@ from repro.coding.arithmetic import ArithmeticDecoder, ArithmeticEncoder
 from repro.coding.bitio import BitReader, BitWriter
 from repro.coding.freq import AdaptiveFrequencyTable, FrequencyTable
 from repro.coding.huffman import HuffmanCode
+from repro.core.annotation import AnnotationCodec
+from repro.core.config import DophyConfig
+from repro.core.decoder import decode_annotation
+from repro.core.model import ModelManager
+from repro.core.symbols import SymbolSet
 
 _TABLE = FrequencyTable([900, 70, 20, 10])
 _RNG = np.random.default_rng(7)
@@ -82,3 +87,44 @@ def test_perf_bitio_roundtrip(benchmark):
 
     out = benchmark(roundtrip)
     assert out == values
+
+
+def _explicit_path_annotations(num_nodes=1000, packets=300):
+    """Annotated packets of a ``num_nodes``-node network in explicit path
+    mode: random sink-bound paths of 1-30 hops with geometric retransmission
+    counts, escapes (count >= K) included."""
+    cfg = DophyConfig()
+    models = ModelManager(
+        SymbolSet(cfg.max_count, cfg.aggregation_threshold),
+        num_nodes_for_dissemination=num_nodes,
+    )
+    codec = AnnotationCodec(cfg, models, num_nodes)
+    rng = np.random.default_rng(11)
+    packets_out = []
+    for _ in range(packets):
+        hops = int(rng.integers(1, 31))
+        path = [int(n) for n in rng.choice(np.arange(1, num_nodes), size=hops, replace=False)]
+        path.append(0)
+        counts = [min(int(c), cfg.max_count) for c in rng.geometric(0.6, size=hops) - 1]
+        annotation = codec.new_annotation()
+        for sender, receiver, count in zip(path, path[1:], counts):
+            codec.annotate_hop(annotation, sender, receiver, count)
+        packets_out.append((annotation, path, counts))
+    return codec, packets_out
+
+
+def test_perf_annotation_serialize_decode(benchmark):
+    """The sink hand-off's codec work: serialize then decode every packet."""
+    codec, packets = _explicit_path_annotations()
+
+    def handoff():
+        out = []
+        for annotation, path, _ in packets:
+            data, bits = codec.serialize(annotation)
+            out.append(decode_annotation(data, bits, codec, origin=path[0], sink=0))
+        return out
+
+    decoded = benchmark(handoff)
+    for result, (_, path, counts) in zip(decoded, packets):
+        assert result.path == path
+        assert [hop.retx_count for hop in result.hops] == counts

@@ -73,35 +73,43 @@ class ArithmeticEncoder:
             )
         if cum_lo >= cum_hi:
             raise ValueError("symbol has empty interval (zero frequency)")
-        span = self._high - self._low + 1
-        self._high = self._low + (span * cum_hi) // total - 1
-        self._low = self._low + (span * cum_lo) // total
-        self._renormalize()
+        low = self._low
+        span = self._high - low + 1
+        self._renormalize(low + (span * cum_lo) // total, low + (span * cum_hi) // total - 1)
         self._symbols_encoded += 1
 
-    def _renormalize(self) -> None:
-        while True:
-            if self._high < _HALF:
-                self._emit(0)
-            elif self._low >= _HALF:
-                self._emit(1)
-                self._low -= _HALF
-                self._high -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._pending += 1
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-            else:
-                break
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
+    def _renormalize(self, low: int, high: int) -> None:
+        # E1/E2: every leading bit low and high share is resolved; they all
+        # leave in one field, shifted out of both registers at once.
+        if (low ^ high) < _HALF:
+            shared = _CODE_BITS - (low ^ high).bit_length()
+            self._emit(low >> (_CODE_BITS - shared), shared)
+            low = (low << shared) & _TOP
+            high = ((high << shared) & _TOP) | ((1 << shared) - 1)
+        # E3: now low < HALF <= high. Each underflow step drops the second
+        # bit of both while low = 01... and high = 10..., and leaves
+        # high > HALF > low, so no E1/E2 step can follow: the run's length
+        # is the count of leading positions below the top where low has a
+        # 1 and high a 0.
+        if low >= _QUARTER and high < _THREE_QUARTERS:
+            underflow = _CODE_BITS - 1 - ((~low | high) & (_HALF - 1)).bit_length()
+            self._pending += underflow
+            low = (low << underflow) & (_HALF - 1)
+            high = ((high << underflow) & (_HALF - 1)) | _HALF | ((1 << underflow) - 1)
+        self._low, self._high = low, high
 
-    def _emit(self, bit: int) -> None:
-        self._writer.write_bit(bit)
-        inverse = 1 - bit
-        for _ in range(self._pending):
-            self._writer.write_bit(inverse)
-        self._pending = 0
+    def _emit(self, bits: int, width: int) -> None:
+        """Write ``width`` resolved bits as one field, with the pending
+        underflow bits (the inverse of the first) right after the first."""
+        pending = self._pending
+        if pending:
+            rest = width - 1
+            first = bits >> rest
+            fill = 0 if first else (1 << pending) - 1
+            bits = (((first << pending) | fill) << rest) | (bits & ((1 << rest) - 1))
+            width += pending
+            self._pending = 0
+        self._writer.write_uint(bits, width)
 
     def finish(self) -> Tuple[bytes, int]:
         """Flush terminal bits; return ``(payload_bytes, exact_bit_length)``."""
@@ -110,10 +118,7 @@ class ArithmeticEncoder:
         self._finished = True
         # Two final bits pin the codeword inside [low, high].
         self._pending += 1
-        if self._low < _QUARTER:
-            self._emit(0)
-        else:
-            self._emit(1)
+        self._emit(0 if self._low < _QUARTER else 1, 1)
         return self._writer.getvalue(), self._writer.bit_length
 
     # -- inspection ---------------------------------------------------------------
@@ -135,7 +140,8 @@ class ArithmeticEncoder:
         """Exact length the stream would have if finished now (non-destructive)."""
         if self._finished:
             return self._writer.bit_length
-        return self.copy().finish()[1]
+        # finish() writes one bit plus the pending ones and one more.
+        return self._writer.bit_length + self._pending + 2
 
     def copy(self) -> "ArithmeticEncoder":
         """Deep copy of the in-flight coder state (used when packets fork/probe)."""
@@ -159,13 +165,22 @@ class ArithmeticDecoder:
     """Decoder counterpart; decodes symbols in encode order given the same models."""
 
     def __init__(self, data: bytes, bit_length: Optional[int] = None) -> None:
-        self._reader = BitReader(data, bit_length)
+        self._start(BitReader(data, bit_length))
+
+    def _start(self, reader: BitReader) -> None:
+        self._reader = reader
         self._low = 0
         self._high = _TOP
-        self._value = 0
-        for _ in range(_CODE_BITS):
-            self._value = (self._value << 1) | self._reader.read_bit()
+        self._value = reader.read_uint(_CODE_BITS)
         self._symbols_decoded = 0
+
+    @classmethod
+    def from_reader(cls, reader: BitReader) -> "ArithmeticDecoder":
+        """Decode the rest of ``reader``'s stream, which must end where the
+        arithmetic payload ends (reads past it return zeros)."""
+        decoder = cls.__new__(cls)
+        decoder._start(reader)
+        return decoder
 
     @classmethod
     def from_encoder_output(cls, payload: Tuple[bytes, int]) -> "ArithmeticDecoder":
@@ -180,13 +195,11 @@ class ArithmeticDecoder:
             raise ValueError(
                 f"model total {total} exceeds coder precision limit {MAX_MODEL_TOTAL}"
             )
-        span = self._high - self._low + 1
-        scaled = ((self._value - self._low + 1) * total - 1) // span
-        symbol = model.symbol_for(scaled)
+        low = self._low
+        span = self._high - low + 1
+        symbol = model.symbol_for(((self._value - low + 1) * total - 1) // span)
         cum_lo, cum_hi, total = model.interval(symbol)
-        self._high = self._low + (span * cum_hi) // total - 1
-        self._low = self._low + (span * cum_lo) // total
-        self._renormalize()
+        self._renormalize(low + (span * cum_lo) // total, low + (span * cum_hi) // total - 1)
         self._symbols_decoded += 1
         return symbol
 
@@ -196,23 +209,26 @@ class ArithmeticDecoder:
             raise ValueError("count must be >= 0")
         return [self.decode_symbol(model) for _ in range(count)]
 
-    def _renormalize(self) -> None:
-        while True:
-            if self._high < _HALF:
-                pass
-            elif self._low >= _HALF:
-                self._low -= _HALF
-                self._high -= _HALF
-                self._value -= _HALF
-            elif self._low >= _QUARTER and self._high < _THREE_QUARTERS:
-                self._low -= _QUARTER
-                self._high -= _QUARTER
-                self._value -= _QUARTER
-            else:
-                break
-            self._low <<= 1
-            self._high = (self._high << 1) | 1
-            self._value = (self._value << 1) | self._reader.read_bit()
+    def _renormalize(self, low: int, high: int) -> None:
+        # The encoder's two runs (see ArithmeticEncoder._renormalize); the
+        # value register follows low and high and is refilled from the
+        # stream with one field per run.
+        value = self._value
+        if (low ^ high) < _HALF:
+            shared = _CODE_BITS - (low ^ high).bit_length()
+            low = (low << shared) & _TOP
+            high = ((high << shared) & _TOP) | ((1 << shared) - 1)
+            value = ((value << shared) & _TOP) | self._reader.read_uint(shared)
+        if low >= _QUARTER and high < _THREE_QUARTERS:
+            underflow = _CODE_BITS - 1 - ((~low | high) & (_HALF - 1)).bit_length()
+            low = (low << underflow) & (_HALF - 1)
+            high = ((high << underflow) & (_HALF - 1)) | _HALF | ((1 << underflow) - 1)
+            value = (
+                (value & _HALF)
+                | ((value << underflow) & (_HALF - 1))
+                | self._reader.read_uint(underflow)
+            )
+        self._low, self._high, self._value = low, high, value
 
     @property
     def symbols_decoded(self) -> int:

@@ -26,6 +26,9 @@ __all__ = [
     "optimal_rice_parameter",
 ]
 
+#: Longest run of leading zeros an Elias gamma codeword may have.
+_GAMMA_MAX_ZEROS = 64
+
 
 class IntegerCode(ABC):
     """A prefix-free code over non-negative integers."""
@@ -121,25 +124,17 @@ class EliasGammaCode(IntegerCode):
     def encode_value(self, writer: BitWriter, value: int) -> None:
         self._check_value(value)
         n = value + 1
-        nbits = n.bit_length()
-        # nbits-1 zeros, then n in nbits bits (leading 1 implicit in count).
-        for _ in range(nbits - 1):
-            writer.write_bit(0)
-        writer.write_uint(n, nbits)
+        # nbits-1 zeros, then n in nbits bits: one field of 2*nbits-1 bits.
+        writer.write_uint(n, 2 * n.bit_length() - 1)
 
     def decode_value(self, reader: BitReader) -> int:
-        zeros = 0
-        while True:
-            bit = reader.read_bit()
-            if bit == 1:
-                break
-            zeros += 1
-            if zeros > 64:
-                raise ValueError("malformed Elias gamma code")
-        n = 1
-        for _ in range(zeros):
-            n = (n << 1) | reader.read_bit()
-        return n - 1
+        head = reader.peek_uint(_GAMMA_MAX_ZEROS + 1)
+        if not head:
+            reader.read_uint(_GAMMA_MAX_ZEROS + 1)
+            raise ValueError("malformed Elias gamma code")
+        zeros = _GAMMA_MAX_ZEROS + 1 - head.bit_length()
+        # The zeros add nothing to the value: read them with n.
+        return reader.read_uint(2 * zeros + 1) - 1
 
     def code_length(self, value: int) -> int:
         return 2 * (value + 1).bit_length() - 1

@@ -19,6 +19,7 @@ per-packet-adaptive against Dophy's periodic static models.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import List, Sequence, Tuple
 
 __all__ = ["FrequencyTable", "AdaptiveFrequencyTable"]
@@ -118,15 +119,7 @@ class FrequencyTable:
             raise ValueError(
                 f"scaled_value {scaled_value} out of range [0, {self.total})"
             )
-        # Binary search over the cumulative array.
-        lo, hi = 0, len(self._freqs)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self._cum[mid] <= scaled_value:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return bisect_right(self._cum, scaled_value) - 1
 
     def probability(self, symbol: int) -> float:
         """The probability this table assigns to ``symbol``."""

@@ -92,12 +92,13 @@ class HuffmanCode:
         writer.write_uint(bits, length)
 
     def decode_symbol(self, reader: BitReader) -> int:
-        bits = 0
+        window = reader.peek_uint(self._max_len)
         for length in range(1, self._max_len + 1):
-            bits = (bits << 1) | reader.read_bit()
-            sym = self._decode.get((length, bits))
+            sym = self._decode.get((length, window >> (self._max_len - length)))
             if sym is not None:
+                reader.read_uint(length)
                 return sym
+        reader.read_uint(self._max_len)
         raise ValueError("invalid Huffman codeword")
 
     def encode_sequence(self, symbols: Sequence[int]) -> BitWriter:

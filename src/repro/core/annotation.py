@@ -117,28 +117,26 @@ class AnnotationCodec:
         retx_count: int,
     ) -> None:
         """Append one hop's contribution (called at the receiving node)."""
-        if self.config.path_encoding == "compressed":
+        encoder = annotation.encoder
+        mode = self.config.path_encoding
+        if mode == "compressed":
             # Rank symbol first: the decoder must identify the receiver
             # before attributing the following count symbol to a link.
             rank = self.path_model.rank(sender_id, receiver_id)
-            annotation.encoder.encode_symbol(self.path_model.table, rank)
-        # Encoder-side lookups: nodes keep the last model they received,
-        # so these also see epochs the sink's decode window already evicted.
-        symbol_set = self.models.encoder_symbol_set_for(annotation.epoch)
-        count = min(retx_count, symbol_set.max_count)
-        encoded = symbol_set.to_symbol(count)
-        table = self.models.encoder_table_for_link(
-            annotation.epoch, (sender_id, receiver_id)
-        )
-        annotation.encoder.encode_symbol(table, encoded.symbol)
-        annotation.symbols.append(encoded.symbol)
-        if encoded.escape_extra is not None and self.config.escape_mode == "exact":
+            encoder.encode_symbol(self.path_model.table, rank)
+        # Encoder-side lookup: nodes keep the last model they received,
+        # so this also sees epochs the sink's decode window already evicted.
+        tables, class_map, symbol_set = self.models.encoder_models(annotation.epoch)
+        symbol, extra = symbol_set.to_symbol(min(retx_count, symbol_set.max_count))
+        encoder.encode_symbol(tables[class_map.get((sender_id, receiver_id), 0)], symbol)
+        annotation.symbols.append(symbol)
+        if extra is not None and self.config.escape_mode == "exact":
             # Bypass-code the gamma bits of the extra into the same stream.
             gamma_bits = BitWriter()
-            _GAMMA.encode_value(gamma_bits, encoded.escape_extra)
+            _GAMMA.encode_value(gamma_bits, extra)
             for bit in gamma_bits.to_bits():
-                annotation.encoder.encode_symbol(BYPASS_MODEL, bit)
-        if self.config.path_encoding == "explicit":
+                encoder.encode_symbol(BYPASS_MODEL, bit)
+        if mode == "explicit":
             annotation.path_ids.append(receiver_id)
 
     # -- wire size / serialization ---------------------------------------------------
@@ -159,14 +157,14 @@ class AnnotationCodec:
         """Produce the actual wire bits (finalizes a copy of the codeword)."""
         arith_data, arith_bits = annotation.encoder.copy().finish()
         out = BitWriter()
-        modulus = 1 << self.models.epoch_field_bits
-        out.write_uint(annotation.epoch % modulus, self.models.epoch_field_bits)
+        epoch_bits = self.models.epoch_field_bits
+        out.write_uint(annotation.epoch % (1 << epoch_bits), epoch_bits)
         _GAMMA.encode_value(out, annotation.hop_count)
         if self.config.path_encoding == "explicit":
             for node_id in annotation.path_ids:
                 out.write_uint(node_id, self.node_id_bits)
-        # Copy the arithmetic payload bit-exactly; it runs to the end.
-        for i in range(arith_bits):
-            byte = arith_data[i // 8]
-            out.write_bit((byte >> (7 - (i % 8))) & 1)
+        # Copy the arithmetic payload bit-exactly, as one field; it runs
+        # to the end.
+        payload = int.from_bytes(arith_data, "big") >> (8 * len(arith_data) - arith_bits)
+        out.write_uint(payload, arith_bits)
         return out.getvalue(), out.bit_length

@@ -31,9 +31,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.coding.arithmetic import ArithmeticDecoder
 from repro.coding.baseline_codes import EliasGammaCode
-from repro.coding.bitio import BitReader, BitWriter
+from repro.coding.bitio import BitReader
 from repro.core.annotation import BYPASS_MODEL, AnnotationCodec
-from repro.core.symbols import SymbolSet
 
 __all__ = [
     "AnnotationDecodeError",
@@ -147,12 +146,13 @@ def decode_annotation(
     """
     reader = BitReader(data, bit_length)
     models = codec.models
-    if bit_length < models.epoch_field_bits + 1:
+    epoch_bits = models.epoch_field_bits
+    if bit_length < epoch_bits + 1:
         raise AnnotationDecodeError(
             f"annotation shorter than its header ({bit_length} bits)",
             cause="truncated",
         )
-    epoch_field = reader.read_uint(models.epoch_field_bits)
+    epoch_field = reader.read_uint(epoch_bits)
     try:
         hop_count = _GAMMA.decode_value(reader)
     except ValueError as exc:
@@ -162,7 +162,7 @@ def decode_annotation(
         ) from exc
     try:
         epoch = models.resolve_epoch_field(epoch_field)
-        models.table(epoch)  # raises if the epoch's tables expired
+        tables, class_map, symbol_set = models.decode_models(epoch)
     except KeyError as exc:
         raise AnnotationDecodeError(str(exc), cause="unknown_epoch") from exc
 
@@ -182,9 +182,14 @@ def decode_annotation(
             raise AnnotationDecodeError(
                 "annotation truncated inside path section", cause="truncated"
             )
+        # One field for the whole section, split into node ids.
+        width = codec.node_id_bits
+        ids = reader.read_uint(hop_count * width)
+        mask = (1 << width) - 1
         path = [origin]
-        for _ in range(hop_count):
-            path.append(reader.read_uint(codec.node_id_bits))
+        path.extend(
+            (ids >> (width * shift)) & mask for shift in range(hop_count - 1, -1, -1)
+        )
     elif mode == "assumed":
         if assumed_path is None:
             raise AnnotationDecodeError(
@@ -200,11 +205,7 @@ def decode_annotation(
         path = [origin]
 
     # Arithmetic section: everything that remains.
-    payload = BitWriter()
-    while reader.bits_remaining > 0:
-        payload.write_bit(reader.read_bit())
-    arith = ArithmeticDecoder(payload.getvalue(), payload.bit_length)
-    symbol_set: SymbolSet = models.symbol_set_for(epoch)
+    arith = ArithmeticDecoder.from_reader(reader)
 
     hops: List[DecodedHop] = []
     symbols: List[int] = []
@@ -218,23 +219,22 @@ def decode_annotation(
             partial_path=path[: len(hops) + 1],
         )
 
+    compressed = mode == "compressed"
+    num_symbols = symbol_set.num_symbols
+    escape = symbol_set.escape_symbol
     for i in range(hop_count):
-        if mode == "compressed":
+        if compressed:
             rank = arith.decode_symbol(codec.path_model.table)
             try:
                 path.append(codec.path_model.neighbor_at(path[-1], rank))
             except ValueError as exc:
                 raise fail(str(exc), "inconsistent_path") from exc
         link = (path[i], path[i + 1])
-        try:
-            table = models.table_for_link(epoch, link)
-        except KeyError as exc:  # pragma: no cover - epoch checked above
-            raise fail(str(exc), "unknown_epoch") from exc
-        symbol = arith.decode_symbol(table)
-        if not 0 <= symbol < symbol_set.num_symbols:
+        symbol = arith.decode_symbol(tables[class_map.get(link, 0)])
+        if not 0 <= symbol < num_symbols:
             raise fail("decoded symbol out of alphabet", "corrupt_symbol")
         symbols.append(symbol)
-        if symbol_set.is_escape(symbol):
+        if symbol == escape:
             if codec.config.escape_mode == "exact":
                 try:
                     extra = _decode_bypass_gamma(arith)
@@ -248,8 +248,8 @@ def decode_annotation(
                 lo, hi = symbol_set.symbol_counts_range(symbol)
                 hops.append(DecodedHop(link, None, (lo, hi)))
         else:
-            count = symbol_set.from_symbol(symbol)
-            hops.append(DecodedHop(link, count, (count, count)))
+            # Every other symbol is its own count.
+            hops.append(DecodedHop(link, symbol, (symbol, symbol)))
 
     if path[0] != origin:
         raise AnnotationDecodeError(

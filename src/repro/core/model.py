@@ -195,6 +195,19 @@ class ModelManager:
         """The table a hop over ``link`` encodes/decodes against in ``epoch``."""
         return self.table(epoch, self.class_of(epoch, link))
 
+    def decode_models(
+        self, epoch: int
+    ) -> Tuple[List[FrequencyTable], Dict[Link, int], SymbolSet]:
+        """What the sink decodes one packet of ``epoch`` against: the
+        per-class tables, the link -> class map (missing = class 0) and
+        the symbol set. KeyError if the epoch expired."""
+        tables = self._tables.get(epoch)
+        if tables is None:
+            raise KeyError(
+                f"model epoch {epoch} not available (have {sorted(self._tables)})"
+            )
+        return tables, self._class_maps[epoch], self._symbol_sets[epoch]
+
     def symbol_set_for(self, epoch: int) -> SymbolSet:
         """The symbol alphabet of ``epoch`` (varies only under auto mode)."""
         if epoch not in self._symbol_sets:
@@ -244,17 +257,10 @@ class ModelManager:
             return []
         return sorted(n for n, e in self._node_epoch.items() if e < epoch)
 
-    def encoder_symbol_set_for(self, epoch: int) -> SymbolSet:
-        """Like :meth:`symbol_set_for`, but also sees archived epochs."""
-        got = self._symbol_sets.get(epoch)
-        if got is None:
-            got = self._archive_symbol_sets.get(epoch)
-        if got is None:
-            raise KeyError(f"model epoch {epoch} unknown to any encoder")
-        return got
-
-    def encoder_table_for_link(self, epoch: int, link: Link) -> FrequencyTable:
-        """Like :meth:`table_for_link`, but also sees archived epochs.
+    def encoder_models(
+        self, epoch: int
+    ) -> Tuple[List[FrequencyTable], Dict[Link, int], SymbolSet]:
+        """Like :meth:`decode_models`, but also sees archived epochs.
 
         A node pinned to an epoch the sink already expired still holds
         its own copy of that epoch's tables — it encodes consistently;
@@ -262,13 +268,12 @@ class ModelManager:
         the (history-window-limited) decode-side lookups.
         """
         tables = self._tables.get(epoch)
-        class_map = self._class_maps.get(epoch)
-        if tables is None:
-            tables = self._archive_tables.get(epoch)
-            class_map = self._archive_class_maps.get(epoch, {})
+        if tables is not None:
+            return tables, self._class_maps[epoch], self._symbol_sets[epoch]
+        tables = self._archive_tables.get(epoch)
         if tables is None:
             raise KeyError(f"model epoch {epoch} unknown to any encoder")
-        return tables[(class_map or {}).get(link, 0)]
+        return tables, self._archive_class_maps[epoch], self._archive_symbol_sets[epoch]
 
     @property
     def epoch_field_bits(self) -> int:

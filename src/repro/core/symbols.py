@@ -12,14 +12,12 @@ extension bits at a small accuracy cost; see the F3 ablation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 __all__ = ["SymbolSet", "EncodedCount"]
 
 
-@dataclass(frozen=True)
-class EncodedCount:
+class EncodedCount(NamedTuple):
     """A retransmission count mapped into the symbol alphabet."""
 
     symbol: int

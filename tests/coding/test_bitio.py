@@ -156,3 +156,39 @@ def test_property_unary_roundtrip(values):
     r = BitReader(w.getvalue(), w.bit_length)
     for v in values:
         assert r.read_unary() == v
+
+
+def test_negative_bit_length_rejected():
+    """A negative length used to be accepted and read as an empty stream."""
+    with pytest.raises(ValueError):
+        BitReader(b"\xff", -3)
+
+
+def test_megabit_mixed_width_roundtrip():
+    """A stream of over 1 Mbit, in field widths from 1 to 100 bits plus
+    unary runs, round-trips; the writer and reader stay linear in the
+    stream length (a quadratic accumulator takes minutes here)."""
+    widths = [1, 3, 7, 8, 13, 32, 64, 65, 100]
+    fields = []
+    total = 0
+    i = 0
+    while total < 1_000_000:
+        width = widths[i % len(widths)]
+        value = (i * 2654435761) & ((1 << width) - 1)
+        fields.append((value, width))
+        total += width
+        i += 1
+    w = BitWriter()
+    for k, (value, width) in enumerate(fields):
+        w.write_uint(value, width)
+        if k % 1000 == 0:
+            w.write_unary(k)
+            total += k + 1
+    assert w.bit_length == total
+    r = BitReader(w.getvalue(), w.bit_length)
+    for k, (value, width) in enumerate(fields):
+        assert r.read_uint(width) == value
+        if k % 1000 == 0:
+            assert r.read_unary() == k
+    assert r.bits_consumed == total
+    assert r.exhausted

@@ -101,8 +101,9 @@ class TestModelManagerPerNodeEpochs:
         with pytest.raises(KeyError):
             mm.table(0)
         # ...but the stuck encoder still sees its own copy.
-        assert mm.encoder_symbol_set_for(0) is not None
-        assert mm.encoder_table_for_link(0, (1, 0)) is not None
+        tables, class_map, symbol_set = mm.encoder_models(0)
+        assert symbol_set == ss
+        assert tables[class_map.get((1, 0), 0)] is not None
 
 
 class TestRepairConvergence:
